@@ -678,7 +678,7 @@ impl Mesh {
             .map(|i| weight_of(LinkId(i)))
             .collect();
         self.last_weights = Some(weights);
-        self.recompute_routes_and_flows();
+        self.recompute_routes_and_flows(&[]);
         self.reallocate();
     }
 
@@ -686,7 +686,7 @@ impl Mesh {
 
     /// Marks a node up or down. A down node's links all become unusable:
     /// routes avoid them, its flows lose their allocation, and capacity
-    /// queries report zero. Routes and flow paths are recomputed.
+    /// queries report zero. Routes and flow paths are repaired.
     ///
     /// # Errors
     ///
@@ -695,20 +695,29 @@ impl Mesh {
         if !self.topo.contains_node(node) {
             return Err(MeshError::UnknownNode(node));
         }
+        // The node's links that flip with it: those not held down by a
+        // link fault or by a crashed far end.
+        let flipped: Vec<LinkId> = self
+            .topo
+            .neighbor_links(node)
+            .iter()
+            .filter(|&&(nb, lid)| !self.down_links.contains(&lid) && !self.down_nodes.contains(&nb))
+            .map(|&(_, lid)| lid)
+            .collect();
         let changed = if up {
             self.down_nodes.remove(&node)
         } else {
             self.down_nodes.insert(node)
         };
         if changed {
-            self.recompute_routes_and_flows();
+            self.recompute_routes_and_flows(&flipped);
             self.reallocate();
         }
         Ok(())
     }
 
     /// Marks the link between `a` and `b` up or down, independent of the
-    /// endpoints' node state. Routes and flow paths are recomputed.
+    /// endpoints' node state. Routes and flow paths are repaired.
     ///
     /// # Errors
     ///
@@ -721,7 +730,10 @@ impl Mesh {
             self.down_links.insert(lid)
         };
         if changed {
-            self.recompute_routes_and_flows();
+            // A crashed endpoint already holds the link down.
+            let ends_up = !self.down_nodes.contains(&a) && !self.down_nodes.contains(&b);
+            let flipped = if ends_up { vec![lid] } else { Vec::new() };
+            self.recompute_routes_and_flows(&flipped);
             self.reallocate();
         }
         Ok(())
@@ -808,15 +820,15 @@ impl Mesh {
         self.link_caps[lid.0].effective_at(at)
     }
 
-    /// Rebuilds the routing table honoring down links/nodes (weighted
-    /// when weighted routing is active) and tolerantly re-routes every
-    /// flow: flows whose route vanished are parked as unroutable (zero
-    /// allocation, queues preserved) and restored when a later
-    /// recomputation finds a path again.
-    fn recompute_routes_and_flows(&mut self) {
+    /// Brings the routing table up to date with the down links/nodes and
+    /// tolerantly re-routes every flow: flows whose route vanished are
+    /// parked as unroutable (zero allocation, queues preserved) and
+    /// restored when a later update finds a path again. Min-hop routes
+    /// are repaired from `flipped`, the links whose usability just
+    /// changed; weighted routes are recomputed in full.
+    fn recompute_routes_and_flows(&mut self, flipped: &[LinkId]) {
         // Borrow the fault state instead of cloning it: the routing
-        // computation only needs shared access, and the result is
-        // assigned to `self.routes` after the borrows end.
+        // update only needs shared access to it.
         let topo = &self.topo;
         let down_links = &self.down_links;
         let down_nodes = &self.down_nodes;
@@ -827,11 +839,12 @@ impl Mesh {
             let link = topo.link(lid);
             !down_nodes.contains(&link.a) && !down_nodes.contains(&link.b)
         };
-        let routes = match &self.last_weights {
-            Some(w) => RoutingTable::compute_weighted_filtered(topo, |lid| w[lid.0], usable),
-            None => RoutingTable::compute_filtered(topo, usable),
-        };
-        self.routes = routes;
+        match &self.last_weights {
+            Some(w) => {
+                self.routes = RoutingTable::compute_weighted_filtered(topo, |lid| w[lid.0], usable);
+            }
+            None => self.routes.repair(topo, flipped, usable),
+        }
         for f in self.flows.values_mut() {
             let (src, dst) = (f.spec.src, f.spec.dst);
             let routed = if src == dst {

@@ -386,3 +386,155 @@ proptest! {
         }
     }
 }
+
+/// The `pick`-th member of `set`, cycling; `None` when it is empty.
+fn nth_member<T: Copy>(set: &std::collections::BTreeSet<T>, pick: u32) -> Option<T> {
+    set.iter().nth(pick as usize % set.len().max(1)).copied()
+}
+
+/// The min-hop table a from-scratch computation gives under the given
+/// fault state — the oracle every repaired table must equal.
+fn fresh_routes(
+    topo: &Topology,
+    down_nodes: &std::collections::BTreeSet<NodeId>,
+    down_links: &std::collections::BTreeSet<LinkId>,
+) -> RoutingTable {
+    RoutingTable::compute_filtered(topo, |lid| {
+        let link = topo.link(lid);
+        !down_links.contains(&lid) && !down_nodes.contains(&link.a) && !down_nodes.contains(&link.b)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Route repair after every fault flip equals a full recompute, and
+    /// every flow rides its repaired route. Flow `k` demands `2^k` bps
+    /// over links with far more capacity than all flows together, so
+    /// each flow gets its full demand exactly and a link's usage names
+    /// precisely the flows crossing it.
+    #[test]
+    fn route_repair_matches_full_recompute(
+        geometric in any::<bool>(),
+        n in 4u32..36,
+        extra in 0usize..24,
+        seed in any::<u64>(),
+        flows in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..16),
+        flips in proptest::collection::vec((0u8..7, any::<u32>()), 1..28),
+    ) {
+        use std::collections::BTreeSet;
+        let topo = if geometric {
+            let mut rng = bass::util::rng::SimRng::seed_from_u64(seed);
+            Topology::random_geometric(n, 0.3, &mut rng).0
+        } else {
+            ring_with_chords(n, extra, seed)
+        };
+        let mut mesh =
+            Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(1e6)).unwrap();
+        let nodes: Vec<NodeId> = topo.nodes().collect();
+        let links: Vec<(LinkId, NodeId, NodeId)> =
+            topo.links().map(|(lid, l)| (lid, l.a, l.b)).collect();
+        let flow_ids: Vec<_> = flows
+            .iter()
+            .enumerate()
+            .map(|(k, &(a, b))| {
+                let (src, dst) = (nodes[a as usize % nodes.len()], nodes[b as usize % nodes.len()]);
+                let demand = Bandwidth::from_bps(f64::from(1u32 << k));
+                (mesh.add_flow(src, dst, demand).unwrap(), src, dst, demand)
+            })
+            .collect();
+        let mut down_nodes: BTreeSet<NodeId> = BTreeSet::new();
+        let mut down_links: BTreeSet<LinkId> = BTreeSet::new();
+        let mut last_down: Option<(LinkId, NodeId, NodeId)> = None;
+        for &(op, pick) in &flips {
+            let node = nodes[pick as usize % nodes.len()];
+            let link = links[pick as usize % links.len()];
+            let before = mesh.routes().clone();
+            let epoch = mesh.routes_epoch();
+            let mut must_not_reroute = false;
+            match op {
+                // Crash and recover a node.
+                0 => {
+                    mesh.set_node_up(node, false).unwrap();
+                    down_nodes.insert(node);
+                }
+                1 => {
+                    let Some(up) = nth_member(&down_nodes, pick) else { continue };
+                    mesh.set_node_up(up, true).unwrap();
+                    down_nodes.remove(&up);
+                }
+                // Take a link down and bring one back.
+                2 => {
+                    mesh.set_link_up(link.1, link.2, false).unwrap();
+                    down_links.insert(link.0);
+                    last_down = Some(link);
+                }
+                3 => {
+                    let Some(lid) = nth_member(&down_links, pick) else { continue };
+                    let l = topo.link(lid);
+                    mesh.set_link_up(l.a, l.b, true).unwrap();
+                    down_links.remove(&lid);
+                }
+                // Flip a link whose endpoint is crashed: no route moves.
+                4 => {
+                    let Some(dead) = nth_member(&down_nodes, pick) else { continue };
+                    let incident = topo.neighbor_links(dead);
+                    let (nb, lid) = incident[pick as usize % incident.len()];
+                    let up = down_links.contains(&lid);
+                    mesh.set_link_up(dead, nb, up).unwrap();
+                    if up {
+                        down_links.remove(&lid);
+                    } else {
+                        down_links.insert(lid);
+                    }
+                    must_not_reroute = true;
+                }
+                // Crash a neighbor of a crashed node.
+                5 => {
+                    let Some(dead) = nth_member(&down_nodes, pick) else { continue };
+                    let incident = topo.neighbor_links(dead);
+                    let (nb, _) = incident[pick as usize % incident.len()];
+                    mesh.set_node_up(nb, false).unwrap();
+                    down_nodes.insert(nb);
+                }
+                // Repeat the last link down.
+                _ => {
+                    let Some((lid, a, b)) = last_down else { continue };
+                    mesh.set_link_up(a, b, false).unwrap();
+                    down_links.insert(lid);
+                }
+            }
+            if must_not_reroute {
+                prop_assert!(mesh.routes() == &before, "flip behind a crashed node moved a route");
+                prop_assert!(mesh.routes_epoch() > epoch, "state flip must bump the routes epoch");
+            }
+            let fresh = fresh_routes(&topo, &down_nodes, &down_links);
+            for &a in &nodes {
+                for &b in &nodes {
+                    prop_assert_eq!(mesh.path(a, b).ok(), fresh.path(a, b), "route {}->{}", a, b);
+                }
+            }
+            // Every flow rides exactly its route's links.
+            let mut want = vec![0.0f64; links.len()];
+            for &(id, src, dst, demand) in &flow_ids {
+                let routed = if src == dst {
+                    !down_nodes.contains(&src)
+                } else {
+                    fresh.path(src, dst).is_some()
+                };
+                let rate = if routed { demand } else { Bandwidth::ZERO };
+                prop_assert_eq!(mesh.flow_rate(id), rate, "flow {}->{}", src, dst);
+                if let Some(lids) = routed.then(|| fresh.path_links(&topo, src, dst)).flatten() {
+                    for lid in lids {
+                        want[lid.0] += demand.as_bps();
+                    }
+                }
+            }
+            for &(lid, a, b) in &links {
+                prop_assert_eq!(
+                    mesh.link_usage(a, b).unwrap().as_bps(), want[lid.0], "usage on {}", lid
+                );
+            }
+        }
+    }
+}
