@@ -1,8 +1,8 @@
 //! Long-horizon campaign harness.
 //!
 //! ```text
-//! campaign [--spec FILE] [--seed N] [--jobs N] [--engine dense|incremental]
-//!          [--out FILE] [--quick] [--dump-spec]
+//! campaign [--spec FILE] [--seed N] [--jobs N] [--out FILE] [--quick]
+//!          [--dump-spec]
 //! ```
 //!
 //! Runs a full scenario campaign (see `docs/SCENARIOS.md`) and writes
@@ -48,7 +48,6 @@ fn main() -> ExitCode {
     let mut spec_path: Option<String> = None;
     let mut seed = 42u64;
     let mut jobs = 1usize;
-    let mut engine = AllocEngine::default();
     let mut out = std::path::PathBuf::from("BENCH_campaign.json");
     let mut quick = false;
     let mut dump_spec = false;
@@ -80,14 +79,6 @@ fn main() -> ExitCode {
                 Ok(v) => jobs = v,
                 Err(e) => return fail(e),
             },
-            "--engine" => match value("--engine") {
-                Ok(v) => match v.as_str() {
-                    "dense" => engine = AllocEngine::Dense,
-                    "incremental" => engine = AllocEngine::Incremental,
-                    other => return fail(format!("unknown engine '{other}'")),
-                },
-                Err(e) => return fail(e),
-            },
             "--out" => match value("--out") {
                 Ok(v) => out = std::path::PathBuf::from(v),
                 Err(e) => return fail(e),
@@ -97,7 +88,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: campaign [--spec FILE] [--seed N] [--jobs N] \
-                     [--engine dense|incremental] [--out FILE] [--quick] [--dump-spec]"
+                     [--out FILE] [--quick] [--dump-spec]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -130,7 +121,7 @@ fn main() -> ExitCode {
     }
 
     let started = std::time::Instant::now();
-    let summary = match run_campaign(&spec, seed, jobs, engine) {
+    let summary = match run_campaign(&spec, seed, jobs, AllocEngine::default()) {
         Ok(s) => s,
         Err(e) => return fail(e.to_string()),
     };

@@ -6,12 +6,11 @@
 //!
 //! Times `Mesh::advance` ticks/sec on a synthetic districted city mesh
 //! from 10 nodes × 50 flows up to 2000 nodes × 20000 flows, for the
-//! incremental engine, the delta engine (serial and sharded), and (at
-//! sizes where it finishes in reasonable time) the pre-incremental
-//! dense reference engine, then writes the measurements to
-//! `BENCH_mesh.json` (override with `--out`). All engines produce
-//! bit-identical allocations, so every ratio is a pure cost comparison
-//! — see `docs/PERFORMANCE.md` for how to read it.
+//! production delta engine and (at sizes where it finishes in
+//! reasonable time) the dense reference engine, then writes the
+//! measurements to `BENCH_mesh.json` (override with `--out`). Both
+//! engines produce bit-identical allocations, so every ratio is a pure
+//! cost comparison — see `docs/PERFORMANCE.md` for how to read it.
 //!
 //! The workload models the steady state the delta engine is built for
 //! (see `docs/ARCHITECTURE.md`): the grid is sliced into districts,
@@ -23,8 +22,8 @@
 //!
 //! `--quick` shrinks the size ladder and the per-point measuring window
 //! to a fraction of a second; CI runs it as a smoke test (and asserts
-//! delta beats incremental at the 500-node rung) to keep this harness
-//! from rotting.
+//! the dirty-set steady state beats full refresh at the 500-node rung)
+//! to keep this harness from rotting.
 
 use bass_core::StepMode;
 use bass_mesh::mesh::AllocEngine;
@@ -66,19 +65,9 @@ struct SizeResult {
     links: usize,
     /// Districts the grid was cut into (= constraint components).
     districts: usize,
-    /// The steady-state engine (`AllocEngine::Incremental`).
-    incremental: EngineResult,
-    /// The delta engine (`AllocEngine::Delta`), serial.
+    /// The production engine (`AllocEngine::Delta`).
     delta: EngineResult,
-    /// Serial delta under the fan-out stream (one capped link per
-    /// district per tick — every district dirty): the baseline the
-    /// sharded fill is gated against.
-    delta_fanout: Option<EngineResult>,
-    /// The delta engine with a 4-thread sharded component fill, under
-    /// the same fan-out stream; only measured where several districts
-    /// exist to fan out.
-    delta_sharded: Option<EngineResult>,
-    /// The 1-dirty-district steady state: serial delta with every
+    /// The 1-dirty-district steady state: delta with every
     /// perturbation confined to district 0, so tick after tick the same
     /// single component is dirty and the rest of the city never moves —
     /// the regime the dirty-set pipeline (O(dirty) demand/capacity/
@@ -90,13 +79,11 @@ struct SizeResult {
     /// flows and links, the pre-dirty-set behaviour. The gap to
     /// `delta_steady` is what the dirty-set pipeline buys.
     delta_steady_fullref: Option<EngineResult>,
-    /// The pre-incremental reference (`AllocEngine::Dense`); skipped at
-    /// sizes where a single dense tick is impractically slow.
+    /// The reference oracle (`AllocEngine::Dense`); skipped at sizes
+    /// where a single dense tick is impractically slow.
     dense: Option<EngineResult>,
-    /// `incremental.ticks_per_sec / dense.ticks_per_sec`, when measured.
+    /// `delta.ticks_per_sec / dense.ticks_per_sec`, when measured.
     speedup: Option<f64>,
-    /// `delta.ticks_per_sec / incremental.ticks_per_sec`.
-    delta_speedup: f64,
 }
 
 /// Ticked vs event-driven throughput on the quiescence-heavy city-500
@@ -174,13 +161,12 @@ const DEMAND_LEVELS_MBPS: [f64; 3] = [0.1, 0.15, 0.25];
 /// whose endpoints stay inside one district. The load is deliberately
 /// light: queues stay empty, so on a tick without a capacity change no
 /// demand moves — the delta engine's quiescent case.
-fn build_mesh(nodes: usize, flows: usize, engine: AllocEngine, jobs: usize) -> Mesh {
+fn build_mesh(nodes: usize, flows: usize, engine: AllocEngine) -> Mesh {
     let mut rng = SimRng::seed_from_u64(SEED ^ (nodes as u64) << 16 ^ flows as u64);
     let topo = grid_topology(nodes);
     let link_ids: Vec<_> = topo.links().map(|(lid, l)| (lid, l.a, l.b)).collect();
     let mut mesh = Mesh::new(topo).expect("grid is connected");
     mesh.set_alloc_engine(engine);
-    mesh.set_alloc_jobs(jobs);
     for (_, a, b) in &link_ids {
         let cap = Bandwidth::from_mbps(rng.uniform(50.0, 150.0));
         mesh.set_link_source(*a, *b, CapacitySource::Constant(cap))
@@ -214,11 +200,6 @@ enum Stream {
     /// district per tick, a *different* one each tick. The sparse
     /// regime the delta engine targets.
     Sparse,
-    /// One capped link per tick *in every district*, dirtying them all
-    /// at once — the storm-recovery regime the sharded fill exists for,
-    /// and the only stream where `delta x4` and serial delta run
-    /// different code.
-    Fanout,
     /// One capped link per tick, always drawn from district 0 — the
     /// 1-dirty-district steady state, where the same single component
     /// is dirty tick after tick and the rest of the city never moves.
@@ -242,27 +223,18 @@ fn measure(
     window_s: f64,
     stream: Stream,
 ) -> EngineResult {
-    let districts = district_count(nodes);
-    let per_district = nodes.div_ceil(districts);
-    let by_district = || {
-        let mut groups = vec![Vec::new(); districts];
-        for (_, l) in mesh.topology().links() {
-            groups[(l.a.0 as usize / per_district).min(districts - 1)].push((l.a, l.b));
-        }
-        groups
-    };
-    let groups: Vec<Vec<(NodeId, NodeId)>> = match stream {
-        Stream::Fanout => by_district(),
-        Stream::Steady => vec![by_district().swap_remove(0)],
-        Stream::Sparse => vec![mesh.topology().links().map(|(_, l)| (l.a, l.b)).collect()],
-    };
+    let per_district = nodes.div_ceil(district_count(nodes));
+    let links: Vec<(NodeId, NodeId)> = mesh
+        .topology()
+        .links()
+        .map(|(_, l)| (l.a, l.b))
+        .filter(|(a, _)| stream == Stream::Sparse || (a.0 as usize) < per_district)
+        .collect();
     let mut rng = SimRng::seed_from_u64(SEED ^ 0xD15F ^ nodes as u64);
     let perturb = |mesh: &mut Mesh, rng: &mut SimRng| {
-        for group in &groups {
-            let (a, b) = group[rng.below(group.len() as u64) as usize];
-            let cap = Bandwidth::from_mbps(rng.uniform(30.0, 120.0));
-            mesh.set_link_cap(a, b, Some(cap)).expect("link exists");
-        }
+        let (a, b) = links[rng.below(links.len() as u64) as usize];
+        let cap = Bandwidth::from_mbps(rng.uniform(30.0, 120.0));
+        mesh.set_link_cap(a, b, Some(cap)).expect("link exists");
     };
     for _ in 0..3 {
         perturb(&mut mesh, &mut rng);
@@ -370,11 +342,11 @@ fn main() -> ExitCode {
 
     // The dense path is O(links × flows × path-len) per tick, so above
     // 100 nodes a single dense point would dominate the whole run; the
-    // incremental and delta ladders keep going to show the trend.
-    // Quick keeps the 1000-node point: it is the rung CI's smoke gate
-    // uses to assert the sharded fill never falls behind serial delta.
+    // delta ladder keeps going to show the trend. Quick keeps the
+    // 500-node point: it is the rung CI's smoke gate checks the
+    // dirty-set steady state at.
     let (ladder, window_s, dense_max_nodes): (&[(usize, usize)], f64, usize) = if quick {
-        (&[(10, 50), (100, 1000), (500, 5000), (1000, 10000)], 0.05, 100)
+        (&[(10, 50), (100, 1000), (500, 5000)], 0.05, 100)
     } else {
         (
             &[
@@ -394,47 +366,18 @@ fn main() -> ExitCode {
 
     let mut sizes = Vec::new();
     for &(nodes, flows) in ladder {
-        let mesh = build_mesh(nodes, flows, AllocEngine::Incremental, 1);
+        let mesh = build_mesh(nodes, flows, AllocEngine::Delta);
         let links = mesh.topology().link_count();
         let districts = district_count(nodes);
-        let incremental = measure(mesh, nodes, step, window_s, Stream::Sparse);
-        let delta = measure(
-            build_mesh(nodes, flows, AllocEngine::Delta, 1),
-            nodes,
-            step,
-            window_s,
-            Stream::Sparse,
-        );
-        // The sharded comparison runs under the fan-out stream (all
-        // districts dirty each tick) for both job counts: that is the
-        // regime where the two fills actually diverge, and the pair CI
-        // gates on (`delta x4` must never fall behind serial delta).
-        let delta_fanout = (districts > 1).then(|| {
-            measure(
-                build_mesh(nodes, flows, AllocEngine::Delta, 1),
-                nodes,
-                step,
-                window_s,
-                Stream::Fanout,
-            )
-        });
-        let delta_sharded = (districts > 1).then(|| {
-            measure(
-                build_mesh(nodes, flows, AllocEngine::Delta, 4),
-                nodes,
-                step,
-                window_s,
-                Stream::Fanout,
-            )
-        });
+        let delta = measure(mesh, nodes, step, window_s, Stream::Sparse);
         // The 1-dirty-district pair replays the identical district-0
         // stream with dirty-set tracking on (the default) and off (the
-        // pre-dirty-set full-refresh behaviour); the two runs produce
-        // bit-identical allocations, so the ratio is a pure cost
-        // comparison and CI gates on it at the 500-node rung.
+        // full-refresh oracle); the two runs produce bit-identical
+        // allocations, so the ratio is a pure cost comparison and CI
+        // gates on it at the 500-node rung.
         let delta_steady = (districts > 1).then(|| {
             measure(
-                build_mesh(nodes, flows, AllocEngine::Delta, 1),
+                build_mesh(nodes, flows, AllocEngine::Delta),
                 nodes,
                 step,
                 window_s,
@@ -442,37 +385,24 @@ fn main() -> ExitCode {
             )
         });
         let delta_steady_fullref = (districts > 1).then(|| {
-            let mut mesh = build_mesh(nodes, flows, AllocEngine::Delta, 1);
+            let mut mesh = build_mesh(nodes, flows, AllocEngine::Delta);
             mesh.set_dirty_tracking(false);
             measure(mesh, nodes, step, window_s, Stream::Steady)
         });
         let dense = (nodes <= dense_max_nodes).then(|| {
             measure(
-                build_mesh(nodes, flows, AllocEngine::Dense, 1),
+                build_mesh(nodes, flows, AllocEngine::Dense),
                 nodes,
                 step,
                 window_s,
                 Stream::Sparse,
             )
         });
-        let speedup = dense
-            .as_ref()
-            .map(|d| incremental.ticks_per_sec / d.ticks_per_sec);
-        let delta_speedup = delta.ticks_per_sec / incremental.ticks_per_sec;
+        let speedup = dense.as_ref().map(|d| delta.ticks_per_sec / d.ticks_per_sec);
         println!(
             "{nodes:>4} nodes {flows:>5} flows {links:>4} links {districts:>2} districts | \
-             incremental {:>9.0} ticks/s | delta {:>9.0} ticks/s ({delta_speedup:.1}x){}{}{}",
-            incremental.ticks_per_sec,
+             delta {:>9.0} ticks/s{}{}",
             delta.ticks_per_sec,
-            match (&delta_fanout, &delta_sharded) {
-                (Some(f), Some(s)) => format!(
-                    " | fanout serial {:>8.0} vs x4 {:>8.0} ticks/s ({:.1}x)",
-                    f.ticks_per_sec,
-                    s.ticks_per_sec,
-                    s.ticks_per_sec / f.ticks_per_sec
-                ),
-                _ => String::new(),
-            },
             match (&delta_steady, &delta_steady_fullref) {
                 (Some(d), Some(r)) => format!(
                     " | steady dirty {:>8.0} vs full {:>8.0} ticks/s ({:.1}x)",
@@ -493,15 +423,11 @@ fn main() -> ExitCode {
             flows,
             links,
             districts,
-            incremental,
             delta,
-            delta_fanout,
-            delta_sharded,
             delta_steady,
             delta_steady_fullref,
             dense,
             speedup,
-            delta_speedup,
         });
     }
 

@@ -165,17 +165,6 @@ pub struct SimulateOptions {
     /// When set, load a [`bass_faults::FaultPlan`] from this JSON file
     /// and inject it into the run (see `docs/FAULTS.md`).
     pub faults: Option<std::path::PathBuf>,
-    /// Max-min allocation engine driving the mesh each tick
-    /// (`--engine dense|incremental|delta`; see `docs/PERFORMANCE.md`
-    /// and `docs/ARCHITECTURE.md`). All engines produce bit-identical
-    /// results; `Dense` is the pre-incremental reference kept for
-    /// regression comparisons, `Delta` refills only the constraint
-    /// components a tick actually perturbed.
-    pub engine: bass_mesh::AllocEngine,
-    /// Worker threads for the delta engine's sharded component fill
-    /// (`--alloc-jobs`; ≥1, byte-identical outputs at any value; other
-    /// engines ignore it).
-    pub alloc_jobs: usize,
     /// How the simulation loop advances time (`--step-mode
     /// ticked|event-driven`). Event-driven runs skip provably quiescent
     /// tick windows; every output stays byte-identical to ticked mode
@@ -201,8 +190,6 @@ impl Default for SimulateOptions {
             seed: 42,
             journal: None,
             faults: None,
-            engine: bass_mesh::AllocEngine::default(),
-            alloc_jobs: 1,
             step_mode: bass_core::StepMode::Ticked,
             metrics_out: None,
             verify_score_cache: false,
@@ -256,8 +243,6 @@ pub fn simulate(
         policy: opts.policy,
         migrations_enabled: opts.migrations,
         faults,
-        alloc_engine: opts.engine,
-        alloc_jobs: opts.alloc_jobs,
         step_mode: opts.step_mode,
         controller: bass_core::ControllerConfig {
             verify_score_cache: opts.verify_score_cache,
@@ -403,12 +388,6 @@ pub fn traces(
 pub struct CampaignCommandOptions {
     /// Worker threads for replica execution (`--jobs`).
     pub jobs: usize,
-    /// Max-min allocation engine (`--engine dense|incremental|delta`).
-    pub engine: bass_mesh::AllocEngine,
-    /// Worker threads for the delta engine's sharded component fill
-    /// inside each replica (`--alloc-jobs`; ≥1, byte-identical outputs
-    /// at any value; other engines ignore it).
-    pub alloc_jobs: usize,
     /// How each replica's loop advances time (`--step-mode
     /// ticked|event-driven`); summaries stay byte-identical either way.
     pub step_mode: bass_core::StepMode,
@@ -431,8 +410,6 @@ impl Default for CampaignCommandOptions {
     fn default() -> Self {
         CampaignCommandOptions {
             jobs: 1,
-            engine: bass_mesh::AllocEngine::default(),
-            alloc_jobs: 1,
             step_mode: bass_core::StepMode::Ticked,
             journal: None,
             metrics_out: None,
@@ -460,12 +437,10 @@ pub fn campaign(
 ) -> Result<bass_scenario::CampaignRun, CommandError> {
     let scn_opts = bass_scenario::CampaignOptions {
         jobs: opts.jobs,
-        engine: opts.engine,
-        alloc_jobs: opts.alloc_jobs,
         step_mode: opts.step_mode,
         profile: opts.profile || opts.metrics_out.is_some(),
         progress: opts.progress,
-        policy: bass_core::PolicyKind::Bass,
+        ..bass_scenario::CampaignOptions::default()
     };
     let run =
         bass_scenario::run_campaign_opts(spec, seed, &scn_opts).map_err(CommandError::Campaign)?;
@@ -522,11 +497,6 @@ pub struct ArenaCommandOptions {
     /// Worker threads for replica execution (`--jobs`); table bytes are
     /// identical at any value.
     pub jobs: usize,
-    /// Max-min allocation engine (`--engine dense|incremental|delta`).
-    pub engine: bass_mesh::AllocEngine,
-    /// Worker threads for the delta engine's sharded component fill
-    /// (`--alloc-jobs`; byte-identical outputs at any value).
-    pub alloc_jobs: usize,
     /// How each replica's loop advances time (`--step-mode`).
     pub step_mode: bass_core::StepMode,
     /// When set, write a Prometheus exposition with one
@@ -542,8 +512,6 @@ impl Default for ArenaCommandOptions {
         ArenaCommandOptions {
             policies: Vec::new(),
             jobs: 1,
-            engine: bass_mesh::AllocEngine::default(),
-            alloc_jobs: 1,
             step_mode: bass_core::StepMode::Ticked,
             metrics_out: None,
             progress: bass_obs::ProgressLevel::Off,
@@ -554,7 +522,7 @@ impl Default for ArenaCommandOptions {
 /// `bassctl arena`: race every requested scheduler policy over a
 /// scenario corpus and return the ranked tournament (see
 /// `docs/POLICIES.md`). The table bytes are byte-identical for any
-/// `--jobs`/`--alloc-jobs` value; wall-clock ticks/s lives only in the
+/// `--jobs` value; wall-clock ticks/s lives only in the
 /// separate timing records.
 ///
 /// # Errors
@@ -570,12 +538,9 @@ pub fn arena(
         policies: opts.policies.clone(),
         campaign: bass_scenario::CampaignOptions {
             jobs: opts.jobs,
-            engine: opts.engine,
-            alloc_jobs: opts.alloc_jobs,
             step_mode: opts.step_mode,
-            profile: false,
             progress: opts.progress,
-            policy: bass_core::PolicyKind::Bass,
+            ..bass_scenario::CampaignOptions::default()
         },
     };
     let run =
@@ -755,8 +720,6 @@ mod tests {
                 seed: 1,
                 journal: None,
                 faults: None,
-                engine: bass_mesh::AllocEngine::default(),
-                alloc_jobs: 1,
                 step_mode: bass_core::StepMode::Ticked,
                 metrics_out: None,
                 // A migrating run through the CLI path doubles as an

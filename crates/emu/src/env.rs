@@ -62,17 +62,12 @@ pub struct SimEnvConfig {
     /// See the `bass-faults` crate and `docs/FAULTS.md`.
     pub faults: FaultPlan,
     /// Which max-min allocation engine the mesh runs each tick. The
-    /// default [`AllocEngine::Incremental`] is the fast path;
-    /// [`AllocEngine::Delta`] additionally refills only the constraint
-    /// components a tick actually perturbed; [`AllocEngine::Dense`]
-    /// replays the pre-incremental reference implementation. All three
-    /// produce bit-identical results (see `docs/ARCHITECTURE.md` and
-    /// `docs/PERFORMANCE.md`).
+    /// default [`AllocEngine::Delta`] is the production path, refilling
+    /// only the constraint components a tick actually perturbed;
+    /// [`AllocEngine::Dense`] is the reference oracle the equivalence
+    /// batteries compare it against. Both produce bit-identical results
+    /// (see `docs/ARCHITECTURE.md` and `docs/PERFORMANCE.md`).
     pub alloc_engine: AllocEngine,
-    /// Worker threads for the delta engine's sharded component fill
-    /// (≥1; other engines ignore it). Allocations are byte-identical at
-    /// any job count, so this only changes wall-clock.
-    pub alloc_jobs: usize,
     /// How [`SimEnv::run_for`] advances time. The default
     /// [`StepMode::Ticked`] executes every step;
     /// [`StepMode::EventDriven`] skips provably quiescent tick windows
@@ -96,7 +91,6 @@ impl Default for SimEnvConfig {
             adaptive_routing: None,
             faults: FaultPlan::new(),
             alloc_engine: AllocEngine::default(),
-            alloc_jobs: 1,
             step_mode: StepMode::default(),
         }
     }
@@ -221,7 +215,6 @@ impl SimEnv {
         let controller = BassController::with_policy(cfg.controller, cfg.migration_policy);
         let netmon = NetMonitor::new(cfg.netmon);
         mesh.set_alloc_engine(cfg.alloc_engine);
-        mesh.set_alloc_jobs(cfg.alloc_jobs);
         SimEnv {
             cfg,
             mesh,

@@ -4,33 +4,28 @@
 //! `docs/ARCHITECTURE.md`: refresh per-link capacities from traces and
 //! overrides, rebuild the flow↔constraint `AllocIndex` if topology or
 //! membership changed, water-fill per-flow rates, then drain per-flow
-//! queues against the granted rates. Three [`AllocEngine`]s implement
-//! the water-fill step with bit-identical results:
+//! queues against the granted rates. Two [`AllocEngine`]s implement the
+//! water-fill step with bit-identical results:
 //!
+//! - **Delta** — the production engine: keeps the `AllocIndex` (a CSR
+//!   flow↔constraint map) and the connected components of the
+//!   flow↔constraint graph ([`crate::flow::ComponentIndex`]) across
+//!   ticks, bit-compares capacity/demand snapshots each tick, and
+//!   refills only the *dirty* components through preallocated scratch.
 //! - **Dense** — the reference path: rebuilds all state from scratch
-//!   every tick. Slow, trivially correct; the oracle the other two are
-//!   tested against.
-//! - **Incremental** — keeps the `AllocIndex` (a CSR flow↔constraint
-//!   map) across ticks and refills everything through preallocated
-//!   scratch. No per-tick allocation, but still a full refill.
-//! - **Delta** — additionally tracks connected components of the
-//!   flow↔constraint graph ([`crate::flow::ComponentIndex`]) and
-//!   bit-compares capacity/demand snapshots each tick, refilling only
-//!   the *dirty* components. With `alloc_jobs > 1` dirty components are
-//!   sharded across scoped worker threads; per-worker rate buffers are
-//!   scattered back in canonical component order, so results stay
-//!   byte-identical at any job count.
+//!   every tick. Slow, trivially correct; the oracle the equivalence
+//!   batteries compare `Delta` against.
 //!
 //! Determinism rules: component order is canonical (ascending smallest
 //! constraint index), all engine state is rebuilt from the same inputs,
 //! and nothing samples wall-clock time — the same seed and mutation
-//! sequence replays bit-for-bit on any machine and any `alloc_jobs`.
+//! sequence replays bit-for-bit on any machine.
 
 use crate::capacity::{CapacitySource, LinkCapacity};
 use crate::flow::{
     build_flow_constraint_map, max_min_allocate_components, max_min_allocate_dense,
-    max_min_allocate_into, refill_component_into, unconstrained_rate, AllocScratch,
-    ComponentIndex, Constraint, FlowAllocation, FlowId, FlowSpec, NO_COMPONENT,
+    refill_component_into, unconstrained_rate, AllocScratch, ComponentIndex, Constraint,
+    FlowAllocation, FlowId, FlowSpec, NO_COMPONENT,
 };
 use crate::queueing::{FlowQueue, HopLatency};
 use crate::routing::RoutingTable;
@@ -76,40 +71,32 @@ impl Error for MeshError {}
 
 /// Selects the algorithm behind [`Mesh::reallocate`].
 ///
-/// All three engines compute the identical allocation — bit-for-bit,
-/// not merely numerically close — so switching engines never changes
+/// Both engines compute the identical allocation — bit-for-bit, not
+/// merely numerically close — so switching engines never changes
 /// simulation behaviour, only its cost (the equivalence contract is
-/// spelled out in `docs/ARCHITECTURE.md`). `Dense` is retained as the
-/// regression oracle and as the baseline the `scale` bench measures the
-/// other engines against.
+/// spelled out in `docs/ARCHITECTURE.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocEngine {
-    /// The pre-incremental reference path: rebuilds every link's member
-    /// list by scanning all flows on every tick
-    /// (O(links × flows × path-len)) and runs the dense water-filling
-    /// oracle, allocating fresh buffers throughout.
-    Dense,
-    /// The default: a persistent link → members inverted index (rebuilt
-    /// only when flows or routes change) feeding the in-place
-    /// incremental allocator, with all scratch buffers reused across
-    /// ticks. Every constraint component is still refilled every tick.
+    /// The production engine: a persistent link → members inverted
+    /// index (rebuilt only when flows or routes change), a cached
+    /// [`crate::flow::ComponentIndex`] over the flow ↔ constraint graph,
+    /// and bit-compare snapshots of constraint capacities and per-flow
+    /// transmit demands. A tick refills only the components an observed
+    /// change touches; untouched components keep their previous rates
+    /// verbatim. All scratch buffers are reused across ticks.
     #[default]
-    Incremental,
-    /// Delta recomputation: everything `Incremental` does, plus a cached
-    /// [`crate::flow::ComponentIndex`] over the
-    /// flow ↔ constraint graph and bit-compare snapshots of constraint
-    /// capacities and per-flow transmit demands. A tick refills only the
-    /// components an observed change touches; untouched components keep
-    /// their previous rates verbatim. Dirty components are fanned out
-    /// across worker threads when [`Mesh::set_alloc_jobs`] raises the
-    /// job count — outputs stay byte-identical at any job count.
     Delta,
+    /// The reference oracle the equivalence batteries compare `Delta`
+    /// against: rebuilds every link's member list by scanning all flows
+    /// on every tick (O(links × flows × path-len)) and runs the dense
+    /// water-filling oracle, allocating fresh buffers throughout.
+    Dense,
 }
 
-/// Persistent inverted index backing [`AllocEngine::Incremental`]:
-/// the dense flow ordering, one constraint per link (and per
-/// egress-capped node) with its member list, and a CSR flow →
-/// constraints reverse map. Rebuilt only when the flow set, the routing,
+/// Persistent inverted index backing [`AllocEngine::Delta`]: the dense
+/// flow ordering, one constraint per link (and per egress-capped node)
+/// with its member list, a CSR flow → constraints reverse map, and the
+/// constraint components. Rebuilt only when the flow set, the routing,
 /// or the egress-cap set changes — never on the steady-state tick path.
 #[derive(Debug, Clone, Default)]
 struct AllocIndex {
@@ -127,9 +114,9 @@ struct AllocIndex {
     flow_cons_off: Vec<usize>,
     /// CSR payload of the flow → constraints reverse map.
     flow_cons: Vec<usize>,
-    /// Connected components of the flow ↔ constraint graph, cached for
-    /// the delta engine (the district map of a gateway-partitioned city
-    /// mesh). Rebuilt together with the membership lists.
+    /// Connected components of the flow ↔ constraint graph (the district
+    /// map of a gateway-partitioned city mesh). Rebuilt together with
+    /// the membership lists.
     comps: ComponentIndex,
     /// CSR offsets of the flow-slot → egress-nodes map (every path node
     /// except the destination, whether egress-capped or not) backing the
@@ -297,9 +284,9 @@ pub struct Mesh {
     last_weights: Option<Vec<f64>>,
     /// Which allocation engine `reallocate` dispatches to.
     engine: AllocEngine,
-    /// Persistent membership index for the incremental engine.
+    /// Persistent membership index of the delta engine.
     index: AllocIndex,
-    /// Reusable working state of the incremental allocator.
+    /// Reusable working state of the component water-fill.
     scratch: AllocScratch,
     /// Per-flow demand vector, reused across ticks.
     demands_scratch: Vec<Bandwidth>,
@@ -312,9 +299,6 @@ pub struct Mesh {
     link_cap_bps: Vec<f64>,
     /// Per-link utilization scratch for the queueing model.
     util_scratch: Vec<f64>,
-    /// Worker threads for the delta engine's sharded component fill
-    /// (1 = fill dirty components serially on the calling thread).
-    alloc_jobs: usize,
     /// True while the delta engine's `prev_*` snapshots and `rates_bps`
     /// describe the current flow set; cleared by index rebuilds and
     /// engine switches to force a full canonical fill.
@@ -328,13 +312,6 @@ pub struct Mesh {
     dirty_comps: Vec<u32>,
     /// Per-component dirty flags (delta engine scratch).
     comp_dirty: Vec<bool>,
-    /// Persistent worker threads (plus their owned scratch and rate
-    /// buffers) for sharded fills. Spawned lazily on the first sharded
-    /// tick and reused for every one after — the per-tick
-    /// `thread::scope` spawn/join cost is what made sharding *lose* to
-    /// the serial fill at 1000 nodes before the pool. Cloning a mesh
-    /// yields an empty pool that respawns on first use.
-    shard_pool: ShardPool,
     /// Largest node id + 1 — the length of dense per-node views.
     /// Topology is immutable after construction, so this never changes
     /// (hoisted out of the per-tick usage-view update).
@@ -471,13 +448,11 @@ impl Mesh {
             rates_bps: Vec::new(),
             link_cap_bps: vec![0.0; link_count],
             util_scratch: vec![0.0; link_count],
-            alloc_jobs: 1,
             delta_valid: false,
             prev_caps_bps: Vec::new(),
             prev_demands_bps: Vec::new(),
             dirty_comps: Vec::new(),
             comp_dirty: Vec::new(),
-            shard_pool: ShardPool::default(),
             max_node,
             dirty_tracking: true,
             caps_valid: false,
@@ -511,7 +486,7 @@ impl Mesh {
     }
 
     /// The allocation engine [`Mesh::reallocate`] currently dispatches
-    /// to (default [`AllocEngine::Incremental`]).
+    /// to (default [`AllocEngine::Delta`]).
     pub fn alloc_engine(&self) -> AllocEngine {
         self.engine
     }
@@ -527,23 +502,6 @@ impl Mesh {
         self.delta_valid = false;
     }
 
-    /// Worker threads the delta engine fans dirty components out to
-    /// (see [`Mesh::set_alloc_jobs`]).
-    pub fn alloc_jobs(&self) -> usize {
-        self.alloc_jobs
-    }
-
-    /// Sets how many worker threads the delta engine may use to fill
-    /// dirty components within one tick (clamped to ≥ 1; default 1 =
-    /// serial). Allocations are byte-identical at any job count: each
-    /// component's fill is deterministic and writes a disjoint slice of
-    /// the rate vector, so only wall-clock changes — the campaign
-    /// runner's ordered-slot guarantee, applied inside a single tick.
-    /// Other engines ignore this setting.
-    pub fn set_alloc_jobs(&mut self, jobs: usize) {
-        self.alloc_jobs = jobs.max(1);
-    }
-
     /// Whether the O(dirty) tick pipeline is enabled (see
     /// [`Mesh::set_dirty_tracking`]; default on).
     pub fn dirty_tracking(&self) -> bool {
@@ -551,11 +509,11 @@ impl Mesh {
     }
 
     /// Enables or disables dirty-set tracking. When disabled every tick
-    /// falls back to the full-scan refreshes the engines ran before
-    /// dirty tracking existed — the same allocations, bit for bit, just
-    /// O(F + L) per tick regardless of how little changed. The
-    /// equivalence batteries use the disabled mode as an oracle and the
-    /// scale bench uses it as the full-refresh baseline column.
+    /// falls back to full-scan refreshes — the same allocations, bit for
+    /// bit, just O(F + L) per tick regardless of how little changed.
+    /// Production runs never turn it off: the disabled mode is the
+    /// full-refresh oracle that `tests/dirty.rs` compares against, and
+    /// the baseline of the scale bench's `delta_steady_fullref` column.
     pub fn set_dirty_tracking(&mut self, on: bool) {
         self.dirty_tracking = on;
         self.caps_valid = false;
@@ -1337,21 +1295,21 @@ impl Mesh {
         self.reallocate_profiled(None);
     }
 
-    /// [`reallocate`](Self::reallocate) with span profiling. The
-    /// incremental engine records its interior phases
-    /// (`mesh.index_rebuild` when the membership index was dirty,
-    /// `mesh.trace_refresh`, `mesh.water_fill`, `mesh.usage_views`); the
-    /// delta engine additionally records `mesh.component_scan` (the
-    /// dirty-component diff), `mesh.delta_fill` (serial component
-    /// refills) and `mesh.shard_fill` (threaded refills); the dense
-    /// reference engine records one `mesh.dense_realloc` span.
+    /// [`reallocate`](Self::reallocate) with span profiling. The delta
+    /// engine records its interior phases: `mesh.index_rebuild` when the
+    /// membership index was dirty, `mesh.trace_refresh` (full capacity
+    /// refresh) or `mesh.cap_diff` (dirty links only), `mesh.demand_diff`
+    /// on a dirty-slot demand refresh, `mesh.component_scan` (the
+    /// dirty-component diff), `mesh.water_fill` (the full canonical fill
+    /// or the dirty-component refills), then `mesh.usage_views` or
+    /// `mesh.usage_delta`. The dense reference engine records one
+    /// `mesh.dense_realloc` span.
     pub fn reallocate_profiled(&mut self, profiler: Option<&mut bass_obs::SpanProfiler>) {
         match self.engine {
             AllocEngine::Dense => {
                 let _span = bass_obs::SpanProfiler::span(profiler, "mesh.dense_realloc");
                 self.reallocate_dense();
             }
-            AllocEngine::Incremental => self.reallocate_incremental(profiler),
             AllocEngine::Delta => self.reallocate_delta(profiler),
         }
     }
@@ -1687,49 +1645,6 @@ impl Mesh {
         drift
     }
 
-    /// The steady-state hot path: refresh constraint capacities in
-    /// place, run the incremental allocator over the persistent
-    /// membership index (rebuilding it only when dirty), and update the
-    /// usage views — all without allocating.
-    fn reallocate_incremental(&mut self, mut profiler: Option<&mut bass_obs::SpanProfiler>) {
-        let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        let link_count = self.topo.link_count();
-        if self.index.dirty {
-            self.index.rebuild(link_count, &self.flows, &self.egress_caps, self.max_node);
-            self.delta_valid = false;
-            self.caps_valid = false;
-            self.demands_valid = false;
-            self.pending_full = true;
-            clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
-        }
-
-        if self.dirty_tracking && self.caps_valid && self.link_cap_bps.len() == link_count {
-            self.refresh_constraint_caps_dirty();
-            clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
-        } else {
-            self.refresh_constraint_caps(link_count);
-            clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
-        }
-
-        if self.refresh_demands() {
-            clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
-        }
-        self.clear_dirty_flows();
-        max_min_allocate_into(
-            &self.demands_scratch,
-            &self.index.constraints,
-            &self.index.flow_cons_off,
-            &self.index.flow_cons,
-            &mut self.scratch,
-            &mut self.rates_bps,
-        );
-        self.allocation.assign(&self.index.ids, &self.rates_bps);
-        clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
-
-        self.update_usage_views(link_count);
-        clock.lap(profiler, "mesh.usage_views");
-    }
-
     /// The delta hot path: diff constraint capacities and transmit
     /// demands against the last tick's snapshots (bit-compare — the
     /// common quiescent tick marks nothing), refill only the dirty
@@ -1781,7 +1696,7 @@ impl Mesh {
                 .extend(self.demands_scratch.iter().map(|d| d.as_bps()));
             self.delta_valid = true;
             self.clear_dirty_flows();
-            clock.lap(profiler.as_deref_mut(), "mesh.delta_fill");
+            clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
             self.allocation.assign(&self.index.ids, &self.rates_bps);
             self.update_usage_views(link_count);
             clock.lap(profiler, "mesh.usage_views");
@@ -1869,24 +1784,19 @@ impl Mesh {
         self.clear_dirty_flows();
         clock.lap(profiler.as_deref_mut(), "mesh.component_scan");
 
-        if self.alloc_jobs > 1 && self.dirty_comps.len() > 1 {
-            self.shard_fill();
-            clock.lap(profiler.as_deref_mut(), "mesh.shard_fill");
-        } else {
-            for k in 0..self.dirty_comps.len() {
-                refill_component_into(
-                    self.dirty_comps[k],
-                    &self.demands_scratch,
-                    &self.index.constraints,
-                    &self.index.flow_cons_off,
-                    &self.index.flow_cons,
-                    &self.index.comps,
-                    &mut self.scratch,
-                    &mut self.rates_bps,
-                );
-            }
-            clock.lap(profiler.as_deref_mut(), "mesh.delta_fill");
+        for k in 0..self.dirty_comps.len() {
+            refill_component_into(
+                self.dirty_comps[k],
+                &self.demands_scratch,
+                &self.index.constraints,
+                &self.index.flow_cons_off,
+                &self.index.flow_cons,
+                &self.index.comps,
+                &mut self.scratch,
+                &mut self.rates_bps,
+            );
         }
+        clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
 
         let n = self.index.ids.len();
         // The partial tail (per-slot allocation writes, per-member usage
@@ -1936,66 +1846,8 @@ impl Mesh {
         }
     }
 
-    /// Fans this tick's dirty components out across the persistent
-    /// [`ShardPool`] (worker *w* takes components `w, w + jobs, …` of
-    /// the dirty list). Each worker fills into its own full-length rate
-    /// buffer with its own scratch; the caller then scatters exactly
-    /// each component's slots back into `rates_bps`. Because every
-    /// component fill is deterministic and components write disjoint
-    /// slots, the result is byte-identical to the serial refill for any
-    /// job count — the same ordered-slot argument the campaign runner
-    /// uses across replicas, applied inside one tick.
-    fn shard_fill(&mut self) {
-        let jobs = self.alloc_jobs.min(self.dirty_comps.len());
-        // The pool moves out of `self` for the duration of the fill so
-        // its workers can be driven while the job inputs stay borrowed
-        // from `self`.
-        let mut pool = std::mem::take(&mut self.shard_pool);
-        pool.ensure(jobs);
-        let inputs = ShardInputs {
-            dirty: (self.dirty_comps.as_ptr(), self.dirty_comps.len()),
-            demands: (self.demands_scratch.as_ptr(), self.demands_scratch.len()),
-            constraints: (self.index.constraints.as_ptr(), self.index.constraints.len()),
-            flow_cons_off: (self.index.flow_cons_off.as_ptr(), self.index.flow_cons_off.len()),
-            flow_cons: (self.index.flow_cons.as_ptr(), self.index.flow_cons.len()),
-            comps: &self.index.comps,
-            jobs,
-            n: self.rates_bps.len(),
-        };
-        for (w, worker) in pool.workers[..jobs].iter_mut().enumerate() {
-            let job = ShardJob {
-                inputs,
-                w,
-                scratch: std::mem::take(&mut worker.scratch),
-                rates: std::mem::take(&mut worker.rates),
-            };
-            worker
-                .job_tx
-                .as_ref()
-                .expect("live pool workers keep their sender")
-                .send(job)
-                .expect("shard worker alive");
-        }
-        // Blocking on every completion receipt before touching any
-        // borrowed input again is what makes the raw pointers inside
-        // `ShardInputs` sound: no worker outlives this loop with a
-        // pointer in hand.
-        for worker in &mut pool.workers[..jobs] {
-            let (scratch, rates) = worker.done_rx.recv().expect("shard worker alive");
-            worker.scratch = scratch;
-            worker.rates = rates;
-        }
-        for (k, &comp) in self.dirty_comps.iter().enumerate() {
-            let src = &pool.workers[k % jobs].rates;
-            for &i in self.index.comps.flows_of(comp) {
-                self.rates_bps[i] = src[i];
-            }
-        }
-        self.shard_pool = pool;
-    }
-
-    /// The pre-incremental reference path, kept verbatim (fresh buffers,
-    /// per-tick membership scans, dense oracle) so regressions can
+    /// The reference path, kept verbatim (fresh buffers, per-tick
+    /// membership scans, dense oracle) so the equivalence batteries can
     /// replay both engines and the `scale` bench can measure the
     /// speedup. See [`AllocEngine::Dense`].
     fn reallocate_dense(&mut self) {
@@ -2378,165 +2230,6 @@ impl Mesh {
             .into_iter()
             .map(|l| self.effective_link_capacity(l))
             .sum())
-    }
-}
-
-/// A persistent pool of shard-fill worker threads.
-///
-/// The first sharded implementation spawned fresh scoped threads every
-/// tick; at 1000 nodes the per-tick spawn/join cost exceeded the fill
-/// itself and made `--alloc-jobs 4` *slower* than the serial refill
-/// (412 vs 477 ticks/s in `BENCH_mesh.json`). The pool spawns each
-/// worker once, on first use, and reuses it — plus its owned
-/// [`AllocScratch`] and rate buffer, which round-trip through the job
-/// channels — for every subsequent tick. Workers block on their job
-/// channel between ticks and exit when the pool drops their sender.
-#[derive(Default)]
-struct ShardPool {
-    workers: Vec<ShardWorker>,
-}
-
-/// One pooled worker thread and its parked per-worker buffers.
-struct ShardWorker {
-    /// `None` only while the pool is dropping (dropping the sender is
-    /// what unblocks the worker's receive loop so it can exit).
-    job_tx: Option<std::sync::mpsc::Sender<ShardJob>>,
-    /// Completion receipts carrying the worker's buffers back.
-    done_rx: std::sync::mpsc::Receiver<(AllocScratch, Vec<f64>)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Allocator scratch parked between ticks.
-    scratch: AllocScratch,
-    /// Full-length rate buffer parked between ticks; only the slots of
-    /// the components this worker filled are ever read back.
-    rates: Vec<f64>,
-}
-
-/// Borrowed inputs of one sharded fill, shipped to every worker as raw
-/// `(pointer, len)` pairs because `Mesh` cannot lend lifetimes across a
-/// channel. Soundness is enforced by [`Mesh::shard_fill`]: it blocks on
-/// every worker's completion receipt before returning, and nothing
-/// mutates (or frees) the pointees while a job is in flight, so each
-/// pointer outlives every dereference and is only ever read.
-#[derive(Clone, Copy)]
-struct ShardInputs {
-    dirty: (*const u32, usize),
-    demands: (*const Bandwidth, usize),
-    constraints: (*const Constraint, usize),
-    flow_cons_off: (*const usize, usize),
-    flow_cons: (*const usize, usize),
-    comps: *const ComponentIndex,
-    /// Worker count of this fill; worker `w` takes dirty components
-    /// `w, w + jobs, …`.
-    jobs: usize,
-    /// Flow count — the length workers resize their rate buffers to.
-    n: usize,
-}
-
-// SAFETY: the raw pointers are only dereferenced (read-only) between
-// job send and completion receipt, during which `shard_fill` keeps the
-// owning `Mesh` borrowed and blocked — see the `ShardInputs` docs.
-unsafe impl Send for ShardInputs {}
-
-/// One tick's work order for one pooled worker.
-struct ShardJob {
-    inputs: ShardInputs,
-    /// This worker's index within the fill.
-    w: usize,
-    scratch: AllocScratch,
-    rates: Vec<f64>,
-}
-
-/// The pooled worker loop: fill the assigned components of each job
-/// into the owned rate buffer, send the buffers back, block for the
-/// next job. Ends when the job sender drops (pool drop) or the receipt
-/// receiver is gone.
-fn shard_worker_loop(
-    jobs_rx: std::sync::mpsc::Receiver<ShardJob>,
-    done_tx: std::sync::mpsc::Sender<(AllocScratch, Vec<f64>)>,
-) {
-    while let Ok(ShardJob { inputs, w, mut scratch, mut rates }) = jobs_rx.recv() {
-        // SAFETY: see `ShardInputs` — the pointees are alive and
-        // unmutated until the receipt below is received.
-        let (dirty, demands, constraints, flow_cons_off, flow_cons, comps) = unsafe {
-            (
-                std::slice::from_raw_parts(inputs.dirty.0, inputs.dirty.1),
-                std::slice::from_raw_parts(inputs.demands.0, inputs.demands.1),
-                std::slice::from_raw_parts(inputs.constraints.0, inputs.constraints.1),
-                std::slice::from_raw_parts(inputs.flow_cons_off.0, inputs.flow_cons_off.1),
-                std::slice::from_raw_parts(inputs.flow_cons.0, inputs.flow_cons.1),
-                &*inputs.comps,
-            )
-        };
-        // Stale values outside this worker's components are never read:
-        // each fill resets its slots first.
-        rates.resize(inputs.n, 0.0);
-        let mut k = w;
-        while k < dirty.len() {
-            refill_component_into(
-                dirty[k],
-                demands,
-                constraints,
-                flow_cons_off,
-                flow_cons,
-                comps,
-                &mut scratch,
-                &mut rates,
-            );
-            k += inputs.jobs;
-        }
-        if done_tx.send((scratch, rates)).is_err() {
-            return;
-        }
-    }
-}
-
-impl ShardPool {
-    /// Grows the pool to at least `jobs` live workers.
-    fn ensure(&mut self, jobs: usize) {
-        while self.workers.len() < jobs {
-            let (job_tx, job_rx) = std::sync::mpsc::channel();
-            let (done_tx, done_rx) = std::sync::mpsc::channel();
-            let handle = std::thread::Builder::new()
-                .name("bass-shard".into())
-                .spawn(move || shard_worker_loop(job_rx, done_tx))
-                .expect("spawning a shard worker succeeds");
-            self.workers.push(ShardWorker {
-                job_tx: Some(job_tx),
-                done_rx,
-                handle: Some(handle),
-                scratch: AllocScratch::default(),
-                rates: Vec::new(),
-            });
-        }
-    }
-}
-
-impl Clone for ShardPool {
-    /// Threads are never cloned: a cloned mesh starts with an empty
-    /// pool and respawns workers on its first sharded fill.
-    fn clone(&self) -> Self {
-        ShardPool::default()
-    }
-}
-
-impl fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardPool").field("workers", &self.workers.len()).finish()
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Drop every sender first so all workers unblock…
-        for w in &mut self.workers {
-            w.job_tx = None;
-        }
-        // …then reap them.
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -2956,11 +2649,10 @@ mod tests {
     /// A 4×4 grid mesh with flows spread over several links, some of
     /// them loopback (unconstrained), driven identically under each
     /// engine by `script`.
-    fn run_engine(engine: AllocEngine, jobs: usize) -> Vec<(u64, f64)> {
+    fn run_engine(engine: AllocEngine) -> Vec<(u64, f64)> {
         let mut mesh =
             Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(60.0)).unwrap();
         mesh.set_alloc_engine(engine);
-        mesh.set_alloc_jobs(jobs);
         for i in 0..12u64 {
             let src = NodeId((i % 16) as u32);
             let dst = NodeId(((i * 5 + 3) % 16) as u32);
@@ -2990,25 +2682,13 @@ mod tests {
     }
 
     #[test]
-    fn delta_engine_is_bit_identical_to_dense_and_incremental() {
-        let dense = run_engine(AllocEngine::Dense, 1);
-        let incr = run_engine(AllocEngine::Incremental, 1);
-        let delta = run_engine(AllocEngine::Delta, 1);
-        assert_eq!(dense, incr);
-        assert_eq!(dense, delta);
-    }
-
-    #[test]
-    fn sharded_delta_is_byte_identical_to_serial() {
-        let serial = run_engine(AllocEngine::Delta, 1);
-        let sharded = run_engine(AllocEngine::Delta, 4);
-        assert_eq!(serial, sharded);
+    fn delta_engine_is_bit_identical_to_dense() {
+        assert_eq!(run_engine(AllocEngine::Dense), run_engine(AllocEngine::Delta));
     }
 
     #[test]
     fn delta_quiescent_tick_keeps_rates_verbatim() {
         let mut mesh = three_node_lan();
-        mesh.set_alloc_engine(AllocEngine::Delta);
         let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         mesh.advance(SimDuration::from_millis(100));
         let before = mesh.flow_rate(f).as_bps();
@@ -3019,44 +2699,42 @@ mod tests {
     }
 
     #[test]
-    fn alloc_jobs_clamps_to_one() {
-        let mut mesh = three_node_lan();
-        mesh.set_alloc_jobs(0);
-        assert_eq!(mesh.alloc_jobs(), 1);
-        mesh.set_alloc_jobs(8);
-        assert_eq!(mesh.alloc_jobs(), 8);
-    }
-
-    #[test]
-    fn cloned_mesh_respawns_its_own_shard_pool() {
-        // Clone a sharded mesh mid-run: the clone starts with an empty
-        // pool, respawns workers on its next fill, and both continue to
-        // the identical allocation.
-        let mut mesh =
-            Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(60.0)).unwrap();
-        mesh.set_alloc_engine(AllocEngine::Delta);
-        mesh.set_alloc_jobs(4);
-        for i in 0..12u64 {
-            let src = NodeId((i % 16) as u32);
-            let dst = NodeId(((i * 5 + 3) % 16) as u32);
-            mesh.add_flow(src, dst, mbps(8.0 + i as f64)).unwrap();
+    fn mesh_spans_match_the_observability_table() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let documented: BTreeSet<&str> = doc
+            .lines()
+            .filter(|l| l.starts_with("| `mesh."))
+            .filter_map(|l| l.split('`').nth(1))
+            .collect();
+        // One single-hop flow per link on the first 8 links: every flow
+        // is its own component, so a one-link change dirties a minority
+        // and the tick takes the O(dirty) tail.
+        let topo = Topology::grid(4, 4);
+        let links: Vec<_> = topo.links().take(8).map(|(_, l)| (l.a, l.b)).collect();
+        let mut mesh = Mesh::with_uniform_capacity(topo, mbps(60.0)).unwrap();
+        for &(a, b) in &links {
+            mesh.add_flow(a, b, mbps(10.0)).unwrap();
         }
-        mesh.advance(SimDuration::from_millis(100));
-        let mut twin = mesh.clone();
-        for tick in 0..6u64 {
-            for m in [&mut mesh, &mut twin] {
-                m.set_link_cap(NodeId(0), NodeId(1), Some(mbps(20.0 + tick as f64)))
-                    .unwrap();
-                m.advance(SimDuration::from_millis(100));
-            }
-        }
-        for i in 0..12u64 {
-            assert_eq!(
-                mesh.flow_rate(FlowId(i)).as_bps().to_bits(),
-                twin.flow_rate(FlowId(i)).as_bps().to_bits(),
-                "flow {i}"
-            );
-        }
+        let mut profiler = bass_obs::SpanProfiler::new();
+        let mut journal = bass_obs::Journal::new();
+        let step = SimDuration::from_millis(100);
+        let mut tick = |mesh: &mut Mesh| {
+            mesh.advance_profiled(step, Some(&mut journal), Some(&mut profiler));
+        };
+        // Index rebuild, full capacity refresh, full fill, full usage.
+        tick(&mut mesh);
+        // Dirty capacity refresh, demand diff, component scan, refill of
+        // one component, usage delta.
+        mesh.set_link_cap(links[0].0, links[0].1, Some(mbps(5.0))).unwrap();
+        tick(&mut mesh);
+        mesh.set_alloc_engine(AllocEngine::Dense);
+        tick(&mut mesh);
+        let seen: BTreeSet<&str> =
+            profiler.spans().map(|(name, _)| name).filter(|n| n.starts_with("mesh.")).collect();
+        assert_eq!(
+            seen, documented,
+            "mesh.* spans emitted vs rows of the docs/OBSERVABILITY.md span table"
+        );
     }
 
     #[test]
@@ -3113,7 +2791,6 @@ mod tests {
     fn advance_quiescent_matches_a_full_tick_bit_for_bit() {
         let step = SimDuration::from_millis(100);
         let mut ticked = three_node_lan();
-        ticked.set_alloc_engine(AllocEngine::Delta);
         let f = ticked.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         ticked.advance(step);
         let mut skipped = ticked.clone();
@@ -3143,7 +2820,6 @@ mod tests {
     #[test]
     fn usage_audit_detects_and_repairs_injected_drift() {
         let mut mesh = three_node_lan();
-        mesh.set_alloc_engine(AllocEngine::Delta);
         mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         mesh.add_flow(NodeId(1), NodeId(2), mbps(20.0)).unwrap();
         let step = SimDuration::from_millis(100);
@@ -3168,7 +2844,6 @@ mod tests {
     #[test]
     fn periodic_usage_audit_repairs_drift_on_schedule() {
         let mut mesh = three_node_lan();
-        mesh.set_alloc_engine(AllocEngine::Delta);
         let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         mesh.set_usage_check_every(1);
         let step = SimDuration::from_millis(100);

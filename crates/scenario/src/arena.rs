@@ -11,8 +11,8 @@
 //! the table's [`to_json`](ArenaTable::to_json) and
 //! [`to_text`](ArenaTable::to_text) bytes are a function of
 //! `(corpus, seed, policies, engine, step settings)` only — identical
-//! for any `--jobs`/`--alloc-jobs` value and across allocation
-//! engines' bit-identical backends. Wall-clock throughput
+//! for any `--jobs` value and across allocation engines' bit-identical
+//! backends. Wall-clock throughput
 //! (ticks/second) is measured too, but lives in the separate
 //! [`ArenaTiming`] records and the
 //! [`to_text_with_timing`](ArenaTable::to_text_with_timing) /

@@ -12,10 +12,9 @@
 //! Each replica's tick runs the seven profiled phases described in
 //! `docs/ARCHITECTURE.md` — `tick.faults`, `tick.scenario`,
 //! `tick.demand`, `tick.goodput`, `tick.controller`, `tick.migrate`,
-//! `tick.finalize` — and the campaign is engine-agnostic: any
-//! [`AllocEngine`] (dense, incremental, or delta) produces the same
-//! summary bytes, which CI enforces by running the whole battery once
-//! per engine. Determinism follows the repo-wide rules: per-replica
+//! `tick.finalize` — and the campaign is engine-agnostic: either
+//! [`AllocEngine`] (delta or dense) produces the same summary bytes,
+//! which CI enforces by running the whole battery once per engine. Determinism follows the repo-wide rules: per-replica
 //! seeds are forked from the campaign seed (never shared), worker
 //! threads only claim work and fill their own slot, and aggregation
 //! happens in replica order after the barrier.
@@ -191,7 +190,7 @@ pub struct CampaignSummary {
     pub scenario: String,
     /// Campaign seed (replica seeds are forked from it).
     pub seed: u64,
-    /// Allocation engine label (`"dense"` or `"incremental"`).
+    /// Allocation engine label (`"delta"` or `"dense"`).
     pub engine: String,
     /// Horizon per replica, ticks.
     pub horizon_ticks: u64,
@@ -257,9 +256,6 @@ pub struct CampaignOptions {
     pub jobs: usize,
     /// Allocation engine for every replica mesh.
     pub engine: AllocEngine,
-    /// Worker threads for the delta engine's sharded component fill
-    /// inside each replica mesh (≥1; other engines ignore it).
-    pub alloc_jobs: usize,
     /// How each replica advances time: [`StepMode::Ticked`] executes
     /// every tick; [`StepMode::EventDriven`] skips provably quiescent
     /// windows, replaying one cached sample tuple per window at the
@@ -282,8 +278,7 @@ impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
             jobs: 1,
-            engine: AllocEngine::Incremental,
-            alloc_jobs: 1,
+            engine: AllocEngine::default(),
             step_mode: StepMode::Ticked,
             profile: false,
             progress: ProgressLevel::Off,
@@ -436,7 +431,6 @@ pub fn run_campaign_opts(
 pub(crate) fn engine_label(engine: AllocEngine) -> &'static str {
     match engine {
         AllocEngine::Dense => "dense",
-        AllocEngine::Incremental => "incremental",
         AllocEngine::Delta => "delta",
     }
 }
@@ -536,7 +530,6 @@ fn run_replica(
     let cfg = SimEnvConfig {
         step: SimDuration::from_millis(spec.step_ms),
         alloc_engine: opts.engine,
-        alloc_jobs: opts.alloc_jobs.max(1),
         step_mode: opts.step_mode,
         migration_policy: opts.policy,
         faults: scenario.faults.clone(),
@@ -684,7 +677,7 @@ mod tests {
     #[test]
     fn campaign_runs_and_summarizes() {
         let spec = tiny_spec();
-        let summary = run_campaign(&spec, 1, 1, AllocEngine::Incremental).unwrap();
+        let summary = run_campaign(&spec, 1, 1, AllocEngine::Delta).unwrap();
         assert_eq!(summary.replicas.len(), 2);
         assert_eq!(summary.aggregate.ticks, 120);
         assert!(summary.aggregate.apps_admitted >= 2, "initial apps admit");
@@ -700,18 +693,18 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_summary() {
         let spec = tiny_spec();
-        let a = run_campaign(&spec, 9, 1, AllocEngine::Incremental).unwrap();
-        let b = run_campaign(&spec, 9, 4, AllocEngine::Incremental).unwrap();
+        let a = run_campaign(&spec, 9, 1, AllocEngine::Delta).unwrap();
+        let b = run_campaign(&spec, 9, 4, AllocEngine::Delta).unwrap();
         assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
     fn profiling_does_not_change_summary_bytes() {
         let spec = tiny_spec();
-        let plain = run_campaign(&spec, 9, 2, AllocEngine::Incremental).unwrap();
+        let plain = run_campaign(&spec, 9, 2, AllocEngine::Delta).unwrap();
         let opts = CampaignOptions {
             jobs: 3,
-            engine: AllocEngine::Incremental,
+            engine: AllocEngine::Delta,
             profile: true,
             ..CampaignOptions::default()
         };
@@ -747,7 +740,7 @@ mod tests {
     #[test]
     fn step_mode_never_changes_summary_bytes_for_any_engine() {
         let spec = tiny_spec();
-        for engine in [AllocEngine::Dense, AllocEngine::Incremental, AllocEngine::Delta] {
+        for engine in [AllocEngine::Dense, AllocEngine::Delta] {
             let ticked = run_campaign_opts(
                 &spec,
                 7,
@@ -803,35 +796,12 @@ mod tests {
     }
 
     #[test]
-    fn alloc_jobs_never_change_summary_bytes() {
-        let spec = tiny_spec();
-        let base = run_campaign_opts(
-            &spec,
-            13,
-            &CampaignOptions { engine: AllocEngine::Delta, ..CampaignOptions::default() },
-        )
-        .unwrap();
-        let sharded = run_campaign_opts(
-            &spec,
-            13,
-            &CampaignOptions {
-                engine: AllocEngine::Delta,
-                alloc_jobs: 4,
-                step_mode: StepMode::EventDriven,
-                ..CampaignOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(base.summary.to_json(), sharded.summary.to_json());
-    }
-
-    #[test]
     fn same_seed_reproduces_different_seed_differs() {
         let spec = tiny_spec();
-        let a = run_campaign(&spec, 5, 2, AllocEngine::Incremental).unwrap();
-        let b = run_campaign(&spec, 5, 2, AllocEngine::Incremental).unwrap();
+        let a = run_campaign(&spec, 5, 2, AllocEngine::Delta).unwrap();
+        let b = run_campaign(&spec, 5, 2, AllocEngine::Delta).unwrap();
         assert_eq!(a.to_json(), b.to_json());
-        let c = run_campaign(&spec, 6, 2, AllocEngine::Incremental).unwrap();
+        let c = run_campaign(&spec, 6, 2, AllocEngine::Delta).unwrap();
         assert_ne!(a.to_json(), c.to_json());
     }
 }

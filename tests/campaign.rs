@@ -1,7 +1,7 @@
 //! Campaign-runner determinism battery: thread-count independence,
 //! same-seed replay, engine agreement, and summary sanity. The engine
-//! under test follows `BASS_TEST_ENGINE` (`dense`, `delta`, or
-//! `incremental`) and the stepping strategy follows
+//! under test follows `BASS_TEST_ENGINE` (`dense`, or unset for the
+//! default delta engine) and the stepping strategy follows
 //! `BASS_TEST_STEP_MODE` (`ticked` or `event-driven`), so CI runs the
 //! whole file once per engine and once per step mode.
 
@@ -11,12 +11,11 @@ use bass::scenario::{run_campaign_opts, CampaignOptions, CampaignSummary, Scenar
 use serde_json::Value;
 
 /// The allocation engine CI selects via `BASS_TEST_ENGINE`; defaults to
-/// the production incremental engine.
+/// the production delta engine.
 fn engine_under_test() -> AllocEngine {
     match std::env::var("BASS_TEST_ENGINE").as_deref() {
         Ok("dense") => AllocEngine::Dense,
-        Ok("delta") => AllocEngine::Delta,
-        _ => AllocEngine::Incremental,
+        _ => AllocEngine::default(),
     }
 }
 
@@ -83,7 +82,7 @@ fn same_seed_replays_bit_for_bit_and_seeds_differ() {
 }
 
 #[test]
-fn dense_and_incremental_engines_agree() {
+fn dense_and_delta_engines_agree() {
     // The two allocation engines are documented as bit-identical
     // (docs/PERFORMANCE.md); campaigns must preserve that — everything
     // except the engine label matches.
@@ -91,12 +90,12 @@ fn dense_and_incremental_engines_agree() {
     spec.horizon_ticks = 60;
     spec.replicas = 1;
     let dense = run_campaign(&spec, 11, 1, AllocEngine::Dense).unwrap();
-    let incremental = run_campaign(&spec, 11, 1, AllocEngine::Incremental).unwrap();
+    let delta = run_campaign(&spec, 11, 1, AllocEngine::Delta).unwrap();
     assert_eq!(dense.engine, "dense");
-    assert_eq!(incremental.engine, "incremental");
+    assert_eq!(delta.engine, "delta");
     assert_eq!(
         serde_json::to_string(&dense.replicas).unwrap(),
-        serde_json::to_string(&incremental.replicas).unwrap()
+        serde_json::to_string(&delta.replicas).unwrap()
     );
 }
 

@@ -1,8 +1,7 @@
 //! Delta-engine equivalence battery: the delta water-filler must be
-//! bit-identical to the dense reference (and the incremental engine)
-//! under OU-trace perturbation, flow churn, and composed fault storms,
-//! and the sharded fill must be byte-identical at any `--alloc-jobs`
-//! count (see `docs/ARCHITECTURE.md` for the equivalence contracts).
+//! bit-identical to the dense reference under OU-trace perturbation,
+//! flow churn, and composed fault storms (see `docs/ARCHITECTURE.md`
+//! for the equivalence contracts).
 
 use bass::apps::testbeds::lan_testbed;
 use bass::emu::{SimEnv, SimEnvConfig};
@@ -67,13 +66,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let topo = ring_with_chords(n, extra, seed);
-        let mk = |engine: AllocEngine, jobs: usize| {
+        let mk = |engine: AllocEngine| {
             let mut mesh =
                 Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(mean)).unwrap();
             mesh.set_alloc_engine(engine);
-            mesh.set_alloc_jobs(jobs);
             // Every link breathes under its own OU trace, seeded per
-            // link so the three meshes see identical vagaries.
+            // link so both meshes see identical vagaries.
             for (lid, link) in topo.links().collect::<Vec<_>>() {
                 let cfg = OuTraceConfig::new(format!("l{}", lid.0), mean).relative_std(rel_std);
                 let trace = cfg.generate(seed ^ lid.0 as u64, SimDuration::from_secs(30));
@@ -81,9 +79,8 @@ proptest! {
             }
             mesh
         };
-        let mut dense = mk(AllocEngine::Dense, 1);
-        let mut incremental = mk(AllocEngine::Incremental, 1);
-        let mut delta = mk(AllocEngine::Delta, 1);
+        let mut dense = mk(AllocEngine::Dense);
+        let mut delta = mk(AllocEngine::Delta);
         let mut rng = SimRng::seed_from_u64(seed ^ 0xDE17A);
         let mut ids = Vec::new();
         for _ in 0..n_flows {
@@ -91,19 +88,13 @@ proptest! {
             let dst = NodeId(rng.below(n as u64) as u32);
             let demand = Bandwidth::from_mbps(rng.uniform(0.5, 2.0 * mean));
             ids.push(dense.add_flow(src, dst, demand).unwrap());
-            incremental.add_flow(src, dst, demand).unwrap();
             delta.add_flow(src, dst, demand).unwrap();
         }
         let step = SimDuration::from_millis(250);
         for tick in 0..40 {
             dense.advance(step);
-            incremental.advance(step);
             delta.advance(step);
-            assert_rates_agree(
-                &[&dense, &incremental, &delta],
-                &ids,
-                &format!("OU tick {tick}"),
-            );
+            assert_rates_agree(&[&dense, &delta], &ids, &format!("OU tick {tick}"));
         }
     }
 
@@ -164,57 +155,12 @@ proptest! {
             lockstep(&mut dense, &mut delta, &ids, "after remove");
         }
     }
-
-    // Sharding is a pure scheduling change: `--alloc-jobs 4` must
-    // produce byte-identical rates to the serial delta fill.
-    #[test]
-    fn sharded_delta_is_byte_identical_to_serial(
-        n in 4u32..10,
-        extra in 0usize..8,
-        n_flows in 4usize..14,
-        seed in any::<u64>(),
-    ) {
-        let topo = ring_with_chords(n, extra, seed);
-        let mk = |jobs: usize| {
-            let mut mesh =
-                Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(15.0)).unwrap();
-            mesh.set_alloc_engine(AllocEngine::Delta);
-            mesh.set_alloc_jobs(jobs);
-            mesh
-        };
-        let mut serial = mk(1);
-        let mut sharded = mk(4);
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x54A8Du64);
-        let mut ids = Vec::new();
-        for _ in 0..n_flows {
-            let src = NodeId(rng.below(n as u64) as u32);
-            let dst = NodeId(rng.below(n as u64) as u32);
-            let demand = Bandwidth::from_mbps(rng.uniform(0.5, 25.0));
-            ids.push(serial.add_flow(src, dst, demand).unwrap());
-            sharded.add_flow(src, dst, demand).unwrap();
-        }
-        let step = SimDuration::from_millis(100);
-        for tick in 0..20 {
-            // Perturb several links per tick so multiple components go
-            // dirty at once and the shard scatter actually interleaves.
-            for _ in 0..3 {
-                let a = NodeId(rng.below(n as u64) as u32);
-                let b = NodeId((a.0 + 1) % n);
-                let cap = Bandwidth::from_mbps(rng.uniform(2.0, 30.0));
-                serial.set_link_cap(a, b, Some(cap)).unwrap();
-                sharded.set_link_cap(a, b, Some(cap)).unwrap();
-            }
-            serial.advance(step);
-            sharded.advance(step);
-            assert_rates_agree(&[&serial, &sharded], &ids, &format!("shard tick {tick}"));
-        }
-    }
 }
 
 /// The composed fault storm from `tests/faults.rs`, replayed through an
 /// explicit engine on the 3-node LAN testbed; returns the journal's
 /// JSONL export so runs can be compared byte-for-byte.
-fn storm_jsonl(engine: AllocEngine, alloc_jobs: usize) -> String {
+fn storm_jsonl(engine: AllocEngine) -> String {
     let profile = StormProfile {
         node_crash_rate: 1.0 / 40.0,
         crash_downtime_s: 25.0,
@@ -232,12 +178,7 @@ fn storm_jsonl(engine: AllocEngine, alloc_jobs: usize) -> String {
     };
     let plan = FaultPlan::poisson(0xBA55, SimDuration::from_secs(300), &profile);
     let (mesh, cluster) = lan_testbed(3, 12);
-    let cfg = SimEnvConfig {
-        faults: plan,
-        alloc_engine: engine,
-        alloc_jobs,
-        ..Default::default()
-    };
+    let cfg = SimEnvConfig { faults: plan, alloc_engine: engine, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, bass::appdag::catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
@@ -247,19 +188,14 @@ fn storm_jsonl(engine: AllocEngine, alloc_jobs: usize) -> String {
 }
 
 // The Poisson fault storm — crashes, flaps, probe loss — must replay
-// byte-identically through the delta engine, serial and sharded alike.
+// byte-identically through the delta engine.
 #[test]
 fn fault_storm_replay_is_delta_engine_independent() {
-    let dense = storm_jsonl(AllocEngine::Dense, 1);
-    let delta = storm_jsonl(AllocEngine::Delta, 1);
-    let delta_sharded = storm_jsonl(AllocEngine::Delta, 4);
+    let dense = storm_jsonl(AllocEngine::Dense);
+    let delta = storm_jsonl(AllocEngine::Delta);
     assert!(!dense.is_empty());
     assert_eq!(
         dense, delta,
         "delta engine must replay the storm byte-identically to the dense path"
-    );
-    assert_eq!(
-        delta, delta_sharded,
-        "sharded delta fill must not change a single journal byte"
     );
 }

@@ -20,13 +20,12 @@ use bass::util::units::Bandwidth;
 use proptest::prelude::*;
 
 /// The allocation engine CI selects via `BASS_TEST_ENGINE` for the
-/// env-level runs below; defaults to the production incremental engine.
-/// The mesh-level proptest always sweeps all engines itself.
+/// env-level runs below; defaults to the production delta engine.
+/// The mesh-level proptest always sweeps both engines itself.
 fn engine_under_test() -> AllocEngine {
     match std::env::var("BASS_TEST_ENGINE").as_deref() {
         Ok("dense") => AllocEngine::Dense,
-        Ok("delta") => AllocEngine::Delta,
-        _ => AllocEngine::Incremental,
+        _ => AllocEngine::default(),
     }
 }
 
@@ -119,8 +118,6 @@ proptest! {
         };
         let mut meshes = vec![
             ("dense", mk(AllocEngine::Dense, false)),
-            ("incremental+dirty", mk(AllocEngine::Incremental, true)),
-            ("incremental+full", mk(AllocEngine::Incremental, false)),
             ("delta+dirty", mk(AllocEngine::Delta, true)),
             ("delta+full", mk(AllocEngine::Delta, false)),
         ];

@@ -1,8 +1,8 @@
 //! Ticked vs event-driven differential battery: the event-driven core
 //! must replay every simulation byte-for-byte — journals and campaign
 //! summaries — across OU trace volatility, workload churn, composed
-//! fault storms, all three allocation engines, and both serial and
-//! sharded component fill (see `docs/ARCHITECTURE.md`).
+//! fault storms, and both allocation engines (see
+//! `docs/ARCHITECTURE.md`).
 
 use bass::appdag::catalog;
 use bass::apps::testbeds::citylab_testbed;
@@ -17,11 +17,7 @@ use proptest::prelude::*;
 use proptest::strategy::Just;
 
 fn arb_engine() -> impl Strategy<Value = AllocEngine> {
-    prop_oneof![
-        Just(AllocEngine::Dense),
-        Just(AllocEngine::Incremental),
-        Just(AllocEngine::Delta),
-    ]
+    prop_oneof![Just(AllocEngine::Dense), Just(AllocEngine::Delta)]
 }
 
 /// A seeded Poisson storm over the CityLab workers and its volatile
@@ -51,19 +47,12 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 fn sim_run(
     mode: StepMode,
     engine: AllocEngine,
-    alloc_jobs: usize,
     seed: u64,
     faults: FaultPlan,
     secs: u64,
 ) -> (String, u64) {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
-    let cfg = SimEnvConfig {
-        faults,
-        alloc_engine: engine,
-        alloc_jobs,
-        step_mode: mode,
-        ..Default::default()
-    };
+    let cfg = SimEnvConfig { faults, alloc_engine: engine, step_mode: mode, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.enable_span_profiling();
@@ -95,19 +84,18 @@ proptest! {
 
     /// The tentpole property at the environment level: under OU traces
     /// and (optionally) a composed fault storm, the event-driven loop
-    /// journals the identical bytes for every engine and shard count.
+    /// journals the identical bytes for every engine.
     #[test]
     fn event_driven_journals_are_byte_identical(
         engine in arb_engine(),
-        alloc_jobs in prop_oneof![Just(1usize), Just(4usize)],
         seed in any::<u64>(),
         stormy in any::<bool>(),
     ) {
         let plan = |s| if stormy { storm_plan(s, 120) } else { FaultPlan::new() };
         let (ticked, executed_ticked) =
-            sim_run(StepMode::Ticked, engine, alloc_jobs, seed, plan(seed), 120);
+            sim_run(StepMode::Ticked, engine, seed, plan(seed), 120);
         let (event, executed_event) =
-            sim_run(StepMode::EventDriven, engine, alloc_jobs, seed, plan(seed), 120);
+            sim_run(StepMode::EventDriven, engine, seed, plan(seed), 120);
         prop_assert!(!ticked.is_empty());
         prop_assert_eq!(ticked, event, "journals must not depend on step mode");
         prop_assert!(
@@ -117,24 +105,17 @@ proptest! {
     }
 
     /// The same property one layer up: campaign summaries under churn
-    /// stay byte-identical between step modes for every engine and
-    /// shard count.
+    /// stay byte-identical between step modes for every engine.
     #[test]
     fn event_driven_campaign_summaries_are_byte_identical(
         engine in arb_engine(),
-        alloc_jobs in prop_oneof![Just(1usize), Just(4usize)],
         seed in any::<u64>(),
         arrival in 0.0f64..0.1,
         max_concurrent in 1u32..6,
     ) {
         let spec = churn_spec(arrival, max_concurrent, 120);
         let run = |step_mode| {
-            let opts = CampaignOptions {
-                engine,
-                alloc_jobs,
-                step_mode,
-                ..CampaignOptions::default()
-            };
+            let opts = CampaignOptions { engine, step_mode, ..CampaignOptions::default() };
             run_campaign_opts(&spec, seed, &opts).expect("campaign runs").summary.to_json()
         };
         prop_assert_eq!(
@@ -151,9 +132,9 @@ proptest! {
 #[test]
 fn event_driven_mode_actually_skips_ticks() {
     let (ticked, executed_ticked) =
-        sim_run(StepMode::Ticked, AllocEngine::Incremental, 1, 0xBA55, FaultPlan::new(), 120);
+        sim_run(StepMode::Ticked, AllocEngine::Delta, 0xBA55, FaultPlan::new(), 120);
     let (event, executed_event) =
-        sim_run(StepMode::EventDriven, AllocEngine::Incremental, 1, 0xBA55, FaultPlan::new(), 120);
+        sim_run(StepMode::EventDriven, AllocEngine::Delta, 0xBA55, FaultPlan::new(), 120);
     assert_eq!(ticked, event);
     assert_eq!(executed_ticked, 1200, "ticked mode executes every 100 ms tick");
     assert!(

@@ -18,8 +18,8 @@ fn checked_run(plan: FaultPlan, secs: u64) -> Journal {
 }
 
 /// [`checked_run`] with an explicit allocation engine, so schedules can
-/// be replayed through both the incremental hot path and the dense
-/// reference path.
+/// be replayed through both the delta hot path and the dense reference
+/// path.
 fn checked_run_with_engine(
     plan: FaultPlan,
     secs: u64,
@@ -160,21 +160,20 @@ fn same_seed_replays_bit_for_bit() {
 }
 
 // Engine regression: the composed fault storm replayed through the
-// incremental allocation engine is byte-identical — every journaled
-// event — to the pre-refactor dense path (the seed behaviour). The
+// delta allocation engine is byte-identical — every journaled event —
+// to the dense reference path (the seed behaviour). The
 // storm exercises crashes, flaps, probe loss, and controller restarts,
 // so this pins the whole control loop, not just the allocator.
 #[test]
 fn storm_replay_is_engine_independent() {
     let dense =
         checked_run_with_engine(storm_plan(), 300, bass::mesh::AllocEngine::Dense).export_jsonl();
-    let incremental =
-        checked_run_with_engine(storm_plan(), 300, bass::mesh::AllocEngine::Incremental)
-            .export_jsonl();
+    let delta =
+        checked_run_with_engine(storm_plan(), 300, bass::mesh::AllocEngine::Delta).export_jsonl();
     assert!(!dense.is_empty());
     assert_eq!(
-        dense, incremental,
-        "incremental engine must replay the storm byte-identically to the dense path"
+        dense, delta,
+        "delta engine must replay the storm byte-identically to the dense path"
     );
 }
 

@@ -53,12 +53,11 @@ const GOLDEN_ARENA: &str =
 const REL_TOL: f64 = 1e-6;
 
 /// The allocation engine CI selects via `BASS_TEST_ENGINE`; defaults to
-/// the production incremental engine.
+/// the production delta engine.
 fn engine_under_test() -> AllocEngine {
     match std::env::var("BASS_TEST_ENGINE").as_deref() {
         Ok("dense") => AllocEngine::Dense,
-        Ok("delta") => AllocEngine::Delta,
-        _ => AllocEngine::Incremental,
+        _ => AllocEngine::default(),
     }
 }
 
@@ -129,9 +128,8 @@ fn compare(path: &str, golden: &Value, got: &Value, diffs: &mut Vec<String>) {
 }
 
 /// Rewrites the single top-level `"engine": "…"` label so matrix arms
-/// can be compared byte-for-byte against the canonical incremental
-/// rendering (the engines themselves are bit-identical; only the label
-/// differs).
+/// can be compared byte-for-byte against the canonical delta rendering
+/// (the engines themselves are bit-identical; only the label differs).
 fn normalize_engine_label(json: &str, to_label: &str) -> String {
     let key = "\"engine\": \"";
     let start = json.find(key).expect("summary carries an engine label") + key.len();
@@ -257,7 +255,7 @@ fn campaign_snapshot(policy: PolicyKind, engine: AllocEngine, step_mode: StepMod
 #[test]
 fn campaign_20node_trait_policy_replays_the_golden_snapshot() {
     // Canonical arm: byte-for-byte against the unchanged golden.
-    let canonical = campaign_snapshot(PolicyKind::Bass, AllocEngine::Incremental, StepMode::Ticked);
+    let canonical = campaign_snapshot(PolicyKind::Bass, AllocEngine::Delta, StepMode::Ticked);
     let golden = std::fs::read_to_string(GOLDEN_CAMPAIGN).expect("golden snapshot present");
     assert_eq!(
         canonical, golden,
@@ -268,7 +266,7 @@ fn campaign_20node_trait_policy_replays_the_golden_snapshot() {
     // before requiring the rest of the bytes to agree.
     let arm = campaign_snapshot(PolicyKind::Bass, engine_under_test(), step_mode_under_test());
     assert_eq!(
-        normalize_engine_label(&arm, "incremental"),
+        normalize_engine_label(&arm, "delta"),
         golden,
         "engine/step-mode arm drifted from the campaign golden"
     );
@@ -409,18 +407,18 @@ fn arena_table_bytes_are_jobs_independent() {
 
 #[test]
 fn arena_table_is_engine_and_step_mode_independent_up_to_the_label() {
-    let canon = arena_table(2, AllocEngine::Incremental, StepMode::Ticked);
+    let canon = arena_table(2, AllocEngine::Delta, StepMode::Ticked);
     let arm = arena_table(2, engine_under_test(), step_mode_under_test());
     assert_eq!(
         canon,
-        normalize_engine_label(&arm, "incremental"),
+        normalize_engine_label(&arm, "delta"),
         "arena rows/ranking must not depend on engine or step mode"
     );
 }
 
 #[test]
 fn arena_20node_matches_golden_snapshot() {
-    let current = arena_table(2, AllocEngine::Incremental, StepMode::Ticked);
+    let current = arena_table(2, AllocEngine::Delta, StepMode::Ticked);
     if std::env::var("GOLDEN_UPDATE").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_ARENA).parent().unwrap())
             .expect("mkdir tests/golden");

@@ -101,9 +101,9 @@ proptest! {
         n_constraints in 0usize..10,
         seed in any::<u64>(),
     ) {
-        // `max_min_allocate` now runs the incremental engine; the
-        // pre-refactor dense implementation is kept as the oracle. The
-        // two must agree bit-for-bit on arbitrary problems, and the
+        // `max_min_allocate` runs the incremental allocator the delta
+        // engine uses; the dense implementation is kept as the oracle.
+        // The two must agree bit-for-bit on arbitrary problems, and the
         // incremental output must satisfy the allocator's contract.
         let mut rng = bass::util::rng::SimRng::seed_from_u64(seed);
         let demands: Vec<Bandwidth> =
@@ -154,7 +154,7 @@ proptest! {
             mesh
         };
         let mut a = mk(AllocEngine::Dense);
-        let mut b = mk(AllocEngine::Incremental);
+        let mut b = mk(AllocEngine::Delta);
         let mut flow_rng = bass::util::rng::SimRng::seed_from_u64(seed ^ 0xF10);
         let mut ids = Vec::new();
         let step = SimDuration::from_millis(100);

@@ -138,8 +138,8 @@ proptest! {
         let mut spec = ScenarioSpec::small_reference();
         spec.horizon_ticks = 40;
         spec.replicas = 1;
-        let a = run_campaign(&spec, seed, 1, AllocEngine::Incremental).unwrap();
-        let b = run_campaign(&spec, seed, 1, AllocEngine::Incremental).unwrap();
+        let a = run_campaign(&spec, seed, 1, AllocEngine::Delta).unwrap();
+        let b = run_campaign(&spec, seed, 1, AllocEngine::Delta).unwrap();
         prop_assert_eq!(a.to_json(), b.to_json());
     }
 }
